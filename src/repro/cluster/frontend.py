@@ -40,6 +40,7 @@ import numpy as np
 from ..errors import ProtocolError, ReproError
 from ..obs import Counters
 from ..service import frames, schema
+from ..service.server import decode_line, error_payload
 from .approx import degraded_solve_payload
 from .ring import HashRing
 
@@ -134,13 +135,7 @@ async def _read_frame_async(
             f"connection closed mid-frame (wanted {header_len} header "
             f"+ {payload_len} payload bytes, got {len(exc.partial)})"
         ) from None
-    try:
-        header = json.loads(head_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad frame JSON header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ProtocolError("frame JSON header must be an object")
-    return frame_type, dtype_code, header, payload
+    return frame_type, dtype_code, frames.decode_header(head_raw), payload
 
 
 class ClusterFrontend:
@@ -274,9 +269,7 @@ class ClusterFrontend:
     ) -> Dict[str, Any]:
         """Every shard is down: flagged approximate answer or error."""
         self.counters.add("ring.degraded")
-        req_id = header.get("id")
-        if not isinstance(req_id, str):
-            req_id = None
+        req_id = schema.reply_id(header)
         if header.get("op") is not None:
             return {
                 "id": req_id, "ok": False, "degraded": True,
@@ -371,15 +364,10 @@ class ClusterFrontend:
 
         async def dispatch(header: Dict[str, Any], payload: bytes,
                            dtype_code: int, binary: bool) -> None:
-            req_id = header.get("id")
-            if not isinstance(req_id, str):
-                req_id = None
             try:
                 response = await self._route(header, payload, dtype_code)
             except Exception as exc:  # noqa: BLE001 — answered in-band
-                response = {"id": req_id, "ok": False,
-                            "error": type(exc).__name__,
-                            "message": str(exc)}
+                response = error_payload(schema.reply_id(header), exc)
             await send(response, binary)
 
         def spawn(coro: Any) -> None:
@@ -395,32 +383,13 @@ class ClusterFrontend:
                 if not line:
                     return
                 try:
-                    text = line.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    await send({"id": None, "ok": False,
-                                "error": "ProtocolError",
-                                "message": f"not valid UTF-8: {exc}"},
-                               False)
+                    obj = decode_line(line)
+                except ReproError as exc:
+                    await send(error_payload(None, exc), False)
                     continue
-                if not text:
-                    continue
-                try:
-                    obj = json.loads(text) if text.startswith("{") else \
-                        {"trace": text}
-                except json.JSONDecodeError as exc:
-                    await send({"id": None, "ok": False,
-                                "error": "ReproError",
-                                "message": f"bad request JSON: {exc}"},
-                               False)
-                    continue
-                if not isinstance(obj, dict):
-                    await send({"id": None, "ok": False,
-                                "error": "ReproError",
-                                "message": "request JSON must be an "
-                                           "object"}, False)
+                if obj is None:
                     continue
                 if obj.get("op") == schema.HELLO_OP:
-                    rid = obj.get("id")
                     upgrade = bool(obj.get("upgrade"))
                     if upgrade:
                         # Framing change: no response may straddle it.
@@ -428,7 +397,7 @@ class ClusterFrontend:
                             await asyncio.gather(*list(pending),
                                                  return_exceptions=True)
                     await send(self._hello_response(
-                        rid if isinstance(rid, str) else None, upgrade
+                        schema.reply_id(obj), upgrade
                     ), False)
                     if upgrade:
                         binary = True
@@ -445,17 +414,14 @@ class ClusterFrontend:
                         f"expected a request frame, got type {frame_type}"
                     )
                 if header.get("op") == schema.HELLO_OP:
-                    rid = header.get("id")
                     await send(self._hello_response(
-                        rid if isinstance(rid, str) else None, True
+                        schema.reply_id(header), True
                     ), True)
                     continue
                 spawn(dispatch(header, payload, dtype_code, True))
         except ProtocolError as exc:
             self.counters.add("ring.protocol_errors")
-            await send({"id": None, "ok": False,
-                        "error": "ProtocolError", "message": str(exc)},
-                       binary)
+            await send(error_payload(None, exc), binary)
         finally:
             while pending:
                 await asyncio.gather(*list(pending),

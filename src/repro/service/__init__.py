@@ -33,7 +33,6 @@ from .server import (
     parse_request_obj,
     serve_stream,
     serve_tcp,
-    tenant_op_object,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "serve_binary",
     "serve_stream",
     "serve_tcp",
-    "tenant_op_object",
 ]

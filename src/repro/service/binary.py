@@ -1,4 +1,4 @@
-"""Server loop for the v2 binary framed protocol.
+"""The frame codec: the v2 binary framed protocol's half of the loop.
 
 A connection lands here after the line protocol's
 ``{"op": "hello", "upgrade": true}`` handshake
@@ -7,47 +7,39 @@ subsequent request and response is one frame
 (:mod:`repro.service.frames`): the JSON header carries the exact v1
 request vocabulary (:mod:`repro.service.schema`), and a bulk trace
 rides as raw little-endian bytes in the payload instead of an inline
-JSON list.
+JSON list.  This module only turns frames into decoded requests and
+replies into frames; :func:`~repro.service.server.serve_requests` owns
+every protocol decision, for both codecs.
 
 Zero-copy ingest: when the owning service routes oversized solves to
 the shared-memory process pool, payloads of at least
 :data:`ARENA_INGEST_MIN` bytes are read off the socket **directly into
 a leased arena block** (:meth:`CurveService.ingest_lease`) — the trace
 bytes touch one arena, once, and the eventual ``process-iaf`` dispatch
-views them where they already live.  Every other payload lands in an
-ordinary heap buffer; either way the request sees a numpy view, never a
-Python list.
+views them where they already live.  The loop releases the lease once
+the request is answered.  Every other payload lands in an ordinary heap
+buffer; either way the request sees a numpy view, never a Python list.
 
-Responses are frames too (header only — curves are small), written
-under a lock in completion order like the line protocol.  Framing
-errors are unrecoverable by construction (a lost magic means the byte
-stream is out of sync): the server answers once with an error frame and
-closes the connection.
+A JSON header that does not decode is answered in-band like a bad v1
+line (the lengths still frame the stream), but framing errors are
+unrecoverable by construction (a lost magic means the byte stream is
+out of sync): the server answers once with an error frame and closes
+the connection.
 """
 
 from __future__ import annotations
 
-import threading
-from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..errors import ProtocolError, ReproError
-from ..workloads.traceio import read_trace
-from . import frames, schema
-from .curve_service import CurveService, SolveFuture
-from .server import (
-    _error_payload,
-    _result_payload,
-    handle_tenant_request,
-    parse_request_obj,
-)
+from . import frames
+from .curve_service import CurveService
+from .server import Decoded, serve_requests
 
 #: Payloads at least this large try the shared-arena ingest path.
 ARENA_INGEST_MIN = 1 << 16
-
-#: Frame dtype code → the dtype scalar ``SolveConfig`` speaks.
-_CONFIG_DTYPE = {frames.DTYPE_INT32: np.int32, frames.DTYPE_INT64: np.int64}
 
 
 def _read_payload(
@@ -82,6 +74,31 @@ def _read_payload(
     return np.frombuffer(buf, dtype=dt), None
 
 
+def _frame_requests(
+    rfile: BinaryIO, service: CurveService
+) -> Iterator[Decoded]:
+    while True:
+        parsed = frames.read_frame_header(rfile)
+        if parsed is None:
+            return
+        frame_type, dtype_code, head, payload_len, elem_size = parsed
+        if frame_type != frames.FRAME_REQUEST:
+            raise ProtocolError(
+                f"expected a request frame, got type {frame_type}"
+            )
+        arr, lease = _read_payload(
+            rfile, service, dtype_code, payload_len, elem_size
+        )
+        try:
+            obj = frames.decode_object(head)
+        except ReproError as exc:
+            if lease is not None:
+                lease.release()
+            yield exc, None, None
+            continue
+        yield obj, arr, lease
+
+
 def serve_binary(
     rfile: BinaryIO,
     wfile: BinaryIO,
@@ -92,150 +109,24 @@ def serve_binary(
 ) -> int:
     """Run the binary framed protocol over one byte stream.
 
-    Mirrors :func:`~repro.service.server.serve_stream` semantics —
+    The same loop as :func:`~repro.service.server.serve_stream` —
     completion-order responses, per-stream barrier for synchronous
     tenant verbs, blocks until every accepted request is answered,
     returns the failure count — over frames instead of lines.
     """
-    out_lock = threading.Lock()
-    failures = [0]
 
-    def send(payload: Dict[str, Any]) -> None:
-        with out_lock:
-            if not payload.get("ok"):
-                failures[0] += 1
-            try:
-                frames.write_frame(wfile, frames.FRAME_RESPONSE, payload)
-            except OSError:
-                pass  # client went away; the work still completed
+    def write(payload: Dict[str, Any]) -> None:
+        wfile.write(frames.encode_frame(frames.FRAME_RESPONSE, payload))
+        wfile.flush()
 
-    answered: List[threading.Event] = []
-
-    def finish(
-        future: SolveFuture,
-        formatter: Callable[[Any], Dict[str, Any]],
-        req_id: Optional[str],
-        lease: Optional[Any],
-    ) -> None:
-        event = threading.Event()
-
-        def on_done(f: SolveFuture) -> None:
-            try:
-                try:
-                    payload = formatter(f.result())
-                except Exception as exc:  # noqa: BLE001
-                    payload = _error_payload(req_id, exc)
-                send(payload)
-            finally:
-                if lease is not None:
-                    lease.release()
-                event.set()
-
-        future.add_done_callback(on_done)
-        answered.append(event)
-
-    try:
-        while True:
-            parsed = frames.read_frame_header(rfile)
-            if parsed is None:
-                break
-            frame_type, dtype_code, obj, payload_len, elem_size = parsed
-            if frame_type != frames.FRAME_REQUEST:
-                raise ProtocolError(
-                    f"expected a request frame, got type {frame_type}"
-                )
-            req_id = obj.get("id")
-            if not isinstance(req_id, str):
-                req_id = None
-            try:
-                arr, lease = _read_payload(
-                    rfile, service, dtype_code, payload_len, elem_size
-                )
-            except ProtocolError:
-                raise  # stream is out of sync — unrecoverable
-            op = obj.get("op")
-            try:
-                if op == schema.HELLO_OP:
-                    schema.validate_fields(obj, schema.HELLO_FIELDS, "hello")
-                    payload = schema.hello_payload(
-                        req_id,
-                        tenants_enabled=tenants is not None,
-                        binary_ok=True,
-                    )
-                    payload["upgraded"] = schema.PROTOCOL_V2
-                    send(payload)
-                    continue
-                if op is not None:
-                    if tenants is None:
-                        raise ReproError(
-                            "tenant ops are not enabled on this server "
-                            "(start it with --tenants)"
-                        )
-                    if arr is not None:
-                        if "trace" in obj:
-                            raise ReproError(
-                                "request carries both an inline trace and "
-                                "a payload; send one"
-                            )
-                        obj = dict(obj)
-                        obj["trace"] = arr
-                    if op in ("register", "evict", "tenants"):
-                        for event in answered:
-                            event.wait()
-                    payload, queued = handle_tenant_request(obj, tenants)
-                    if payload is not None:
-                        if lease is not None:
-                            lease.release()
-                            lease = None
-                        send(payload)
-                        continue
-                    assert queued is not None
-                    t_future, t_fmt = queued
-                    finish(t_future, t_fmt, req_id, lease)
-                    lease = None
-                    continue
-                trace, cfg, deadline, req_id, sizes = parse_request_obj(
-                    obj,
-                    default_config=default_config,
-                    require_trace=arr is None,
-                )
-                if arr is not None:
-                    if trace is not None:
-                        raise ReproError(
-                            "request carries both an inline trace and a "
-                            "payload; send one"
-                        )
-                    if "dtype" not in obj:
-                        # Solve in the payload's own dtype so the arena
-                        # view is used as-is (no widening copy).
-                        cfg = cfg.replace(dtype=_CONFIG_DTYPE[dtype_code])
-                    trace = arr
-                elif isinstance(trace, str):
-                    trace = read_trace(trace)
-                future = service.submit(
-                    trace, cfg, deadline=deadline, label=req_id or ""
-                )
-                finish(
-                    future,
-                    lambda res, rid=req_id, sz=sizes: _result_payload(
-                        rid, res, sz
-                    ),
-                    req_id,
-                    lease,
-                )
-                lease = None
-            except Exception as exc:  # noqa: BLE001 — reported in-band
-                if lease is not None:
-                    lease.release()
-                send(_error_payload(req_id, exc))
-                continue
-    except ProtocolError as exc:
-        service.record_protocol_error()
-        send(_error_payload(None, exc))
-    finally:
-        for event in answered:
-            event.wait()
-    return failures[0]
+    return serve_requests(
+        _frame_requests(rfile, service),
+        write,
+        service,
+        framed=True,
+        default_config=default_config,
+        tenants=tenants,
+    )
 
 
 __all__ = ["ARENA_INGEST_MIN", "serve_binary"]

@@ -37,11 +37,11 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, BinaryIO, Dict, Optional, Tuple
+from typing import Any, BinaryIO, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..errors import ProtocolError
+from ..errors import ProtocolError, ReproError
 
 MAGIC = b"IAF2"
 
@@ -89,8 +89,8 @@ def write_frame(
     payload: bytes = b"",
     dtype_code: int = DTYPE_NONE,
 ) -> None:
-    """Write one frame.  Large payloads are written without copying
-    them into the header buffer."""
+    """Write one request frame (the client's bulk path).  Large payloads
+    are written without copying them into the header buffer."""
     head = json.dumps(header, separators=(",", ":")).encode("utf-8")
     wfile.write(_HEADER.pack(MAGIC, frame_type, dtype_code, 0, len(head),
                              len(payload)))
@@ -152,15 +152,57 @@ def _read_exact(rfile: BinaryIO, n: int, what: str) -> bytes:
     return b"".join(chunks)
 
 
+def decode_text(raw: Union[bytes, str]) -> str:
+    """``raw`` as text; bytes must be strict UTF-8.
+
+    Raises :class:`ProtocolError` for undecodable bytes, which a lossy
+    decode would otherwise mangle into a misleading parse error.
+    """
+    if isinstance(raw, str):
+        return raw
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"request is not valid UTF-8: {exc}") from None
+
+
+def decode_object(raw: Union[bytes, str]) -> Dict[str, Any]:
+    """One request's JSON object (a frame header or a v1 JSON line).
+
+    Raises :class:`ProtocolError` for bytes that are not UTF-8 and
+    :class:`ReproError` for text that is not one JSON object — both
+    answerable in-band, since the stream itself is still in sync.
+    """
+    try:
+        obj = json.loads(decode_text(raw))
+    except json.JSONDecodeError as exc:
+        raise ReproError(f"bad request JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ReproError("request JSON must be an object")
+    return obj
+
+
+def decode_header(raw: bytes) -> Dict[str, Any]:
+    """A frame's JSON header, for readers that cannot answer a bad one
+    (clients, the cluster frontend): any failure is a ProtocolError."""
+    try:
+        return decode_object(raw)
+    except ReproError as exc:
+        raise ProtocolError(f"bad frame JSON header: {exc}") from None
+
+
 def read_frame_header(
     rfile: BinaryIO,
-) -> Optional[Tuple[int, int, Dict[str, Any], int, int]]:
-    """Read one frame's fixed header + JSON header, *not* the payload.
+) -> Optional[Tuple[int, int, bytes, int, int]]:
+    """Read one frame's fixed header + JSON header bytes, *not* the
+    payload.
 
-    Returns ``(frame_type, dtype_code, header_obj, payload_len,
-    elem_size)`` — the caller reads ``payload_len`` payload bytes into
-    whatever buffer it wants (a fresh ndarray, the shared arena) — or
-    ``None`` on clean EOF.  Raises :class:`ProtocolError` on garbage.
+    Returns ``(frame_type, dtype_code, header_bytes, payload_len,
+    elem_size)`` — the caller decodes the header (:func:`decode_header`
+    or :func:`decode_object`) and reads ``payload_len`` payload bytes
+    into whatever buffer it wants (a fresh ndarray, the shared arena) —
+    or ``None`` on clean EOF.  Raises :class:`ProtocolError` on framing
+    garbage.
     """
     raw = _read_exact(rfile, HEADER_SIZE, "frame header")
     if not raw:
@@ -179,14 +221,8 @@ def read_frame_header(
                 f"payload length {payload_len} is not a multiple of the "
                 f"{dt.name} element size {elem_size}"
             )
-    head_raw = _read_exact(rfile, header_len, "frame JSON header")
-    try:
-        header = json.loads(head_raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"bad frame JSON header: {exc}") from None
-    if not isinstance(header, dict):
-        raise ProtocolError("frame JSON header must be an object")
-    return frame_type, dtype_code, header, payload_len, elem_size
+    head = _read_exact(rfile, header_len, "frame JSON header")
+    return frame_type, dtype_code, head, payload_len, elem_size
 
 
 def read_frame(
@@ -202,7 +238,8 @@ def read_frame(
     parsed = read_frame_header(rfile)
     if parsed is None:
         return None
-    frame_type, dtype_code, header, payload_len, _elem = parsed
+    frame_type, dtype_code, head, payload_len, _elem = parsed
+    header = decode_header(head)
     payload = None
     if payload_len:
         raw = _read_exact(rfile, payload_len, "frame payload")
@@ -242,6 +279,9 @@ __all__ = [
     "FRAME_RESPONSE",
     "HEADER_SIZE",
     "MAGIC",
+    "decode_header",
+    "decode_object",
+    "decode_text",
     "encode_frame",
     "read_frame",
     "read_frame_header",

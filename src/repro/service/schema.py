@@ -116,6 +116,13 @@ def hello_payload(
     return payload
 
 
+def reply_id(obj: Dict[str, Any]) -> Optional[str]:
+    """The ``id`` a reply to ``obj`` carries: a string id is echoed,
+    anything else (absent, a number, null) is answered as ``None``."""
+    req_id = obj.get("id")
+    return req_id if isinstance(req_id, str) else None
+
+
 def validate_fields(
     obj: Dict[str, Any], allowed: FrozenSet[str], what: str
 ) -> None:
@@ -142,5 +149,6 @@ __all__ = [
     "SPECIAL_FIELDS",
     "TENANT_OP_FIELDS",
     "hello_payload",
+    "reply_id",
     "validate_fields",
 ]

@@ -20,7 +20,14 @@ tag requests with ``id`` to correlate; each is either::
 
 or ``{"id": …, "ok": false, "error": "DeadlineExceededError",
 "message": …}``.  Malformed lines are answered immediately with an
-``ok: false`` line; they never crash the server.
+``ok: false`` line; they never crash the server.  A reply echoes a
+string ``id``; any other ``id`` (a number, null, absent) is answered
+as ``null``.
+
+One loop, two codecs: :func:`serve_requests` owns every protocol
+decision for this line protocol and for the v2 binary frames
+(:mod:`repro.service.binary`); a codec only turns bytes into request
+objects and reply dicts into bytes.
 
 ``python -m repro serve`` runs this loop over stdin (EOF drains and
 exits) or, with ``--port``, over TCP with one connection per client
@@ -59,9 +66,11 @@ from typing import (
     Callable,
     Dict,
     Iterable,
+    Iterator,
     List,
     Optional,
     Tuple,
+    Union,
 )
 
 import numpy as np
@@ -69,38 +78,45 @@ import numpy as np
 from ..core.config import SolveConfig, SolveResult
 from ..errors import ProtocolError, ReproError
 from ..workloads.traceio import read_trace
-from . import schema
+from . import frames, schema
 from .curve_service import CurveService, SolveFuture
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard only
     from ..tenants import TenantService
 
-#: Shared wire vocabulary (see :mod:`repro.service.schema`) — the same
-#: tables drive this parser, the binary frame decoder, and CurveClient.
-_REQUEST_FIELDS = schema.REQUEST_FIELDS
-_DTYPES = schema.DTYPES
-_TENANT_OPS = schema.TENANT_OP_FIELDS
+#: Tenant verbs that run synchronously, after the per-stream barrier.
+_SYNC_OPS = ("register", "evict", "tenants")
+
+#: Queued work and the formatter that turns its result into the reply.
+Queued = Tuple[SolveFuture, Callable[[Any], Dict[str, Any]]]
+
+#: What a codec yields per request: the decoded object (or the
+#: :class:`ReproError` its bytes raised), the payload array a frame
+#: carried, and the arena lease that payload lives in (see
+#: :mod:`repro.service.binary`).
+Decoded = Tuple[
+    Union[Dict[str, Any], ReproError], Optional[np.ndarray], Optional[Any]
+]
 
 
 def parse_request_obj(
     obj: Dict[str, Any],
     *,
     default_config: Optional[SolveConfig] = None,
-    require_trace: bool = True,
 ) -> Tuple[Any, SolveConfig, Optional[float], Optional[str], List[int]]:
     """Parse one already-decoded solve-request object.
 
-    The schema half of :func:`parse_request`, shared with the binary
-    frame decoder (whose trace arrives as a payload, hence
-    ``require_trace=False``).  Returns ``(trace, config, deadline,
-    request_id, sizes)`` — ``trace`` is ``None`` when absent and not
-    required.  Raises :class:`ReproError` on malformed input.
+    The schema half of :func:`parse_request`, shared by both codecs (a
+    frame's payload arrives here as the ``trace``).  Returns ``(trace,
+    config, deadline, request_id, sizes)``, ``request_id`` following
+    :func:`~repro.service.schema.reply_id`.  Raises :class:`ReproError`
+    on malformed input.
     """
     base = default_config if default_config is not None else SolveConfig()
     if not isinstance(obj, dict):
         raise ReproError("request JSON must be an object")
     schema.validate_fields(obj, schema.REQUEST_FIELDS, "request")
-    if require_trace and "trace" not in obj:
+    if "trace" not in obj:
         raise ReproError('request needs a "trace" (path or address list)')
     changes: Dict[str, Any] = {}
     for field in schema.CONFIG_FIELDS:
@@ -120,8 +136,23 @@ def parse_request_obj(
         raise ReproError(f"bad request field: {exc}") from None
     deadline = _check_deadline(obj.get("deadline"))
     sizes = _check_sizes(obj.get("sizes"))
-    req_id = obj.get("id")
-    return obj.get("trace"), cfg, deadline, req_id, sizes
+    return obj.get("trace"), cfg, deadline, schema.reply_id(obj), sizes
+
+
+def decode_line(line: Union[str, bytes]) -> Optional[Dict[str, Any]]:
+    """The line codec: one v1 line as a request object, None if blank.
+
+    Bytes must be strict UTF-8 (:class:`ProtocolError` otherwise); a
+    line that does not open with ``{`` is a bare trace path; anything
+    else must be one JSON object (:class:`ReproError` otherwise).  The
+    cluster frontend decodes its v1 lines with this too.
+    """
+    text = frames.decode_text(line).strip()
+    if not text:
+        return None
+    if not text.startswith("{"):
+        return {"trace": text}
+    return frames.decode_object(text)
 
 
 def parse_request(
@@ -135,16 +166,9 @@ def parse_request(
     ``trace`` is a path string or an inline address list.  Raises
     :class:`ReproError` on malformed input.
     """
-    base = default_config if default_config is not None else SolveConfig()
-    text = line.strip()
-    if not text:
+    obj = decode_line(line)
+    if obj is None:
         raise ReproError("empty request line")
-    if not text.startswith("{"):
-        return text, base, None, None, []
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ReproError(f"bad request JSON: {exc}") from None
     return parse_request_obj(obj, default_config=default_config)
 
 
@@ -166,31 +190,10 @@ def _check_sizes(sizes: Any) -> List[int]:
     return sizes
 
 
-def tenant_op_object(line: str) -> Optional[Dict[str, Any]]:
-    """The parsed object if ``line`` is a tenant-verb request, else None.
-
-    Lines that are not JSON objects (or carry no ``op``) fall through to
-    the solve-path parser, which owns their error reporting.
-    """
-    text = line.strip()
-    if not text.startswith("{"):
-        return None
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    if isinstance(obj, dict) and "op" in obj:
-        return obj
-    return None
-
-
 def handle_tenant_request(
     obj: Dict[str, Any],
     tenants: "TenantService",
-) -> Tuple[
-    Optional[Dict[str, Any]],
-    Optional[Tuple[SolveFuture, Callable[[Any], Dict[str, Any]]]],
-]:
+) -> Tuple[Optional[Dict[str, Any]], Optional[Queued]]:
     """Dispatch one tenant verb.
 
     Returns ``(payload, None)`` for synchronous verbs (register / evict
@@ -200,17 +203,16 @@ def handle_tenant_request(
     malformed requests.
     """
     op = obj.get("op")
-    if op not in _TENANT_OPS:
-        raise ReproError(
-            f"unknown op {op!r}; one of {sorted(_TENANT_OPS)}"
-        )
-    unknown = set(obj) - _TENANT_OPS[op]
+    ops = schema.TENANT_OP_FIELDS
+    if op not in ops:
+        raise ReproError(f"unknown op {op!r}; one of {sorted(ops)}")
+    unknown = set(obj) - ops[op]
     if unknown:
         raise ReproError(
             f"unknown field(s) {sorted(unknown)} for op {op!r}; "
-            f"allowed: {sorted(_TENANT_OPS[op])}"
+            f"allowed: {sorted(ops[op])}"
         )
-    req_id = obj.get("id")
+    req_id = schema.reply_id(obj)
     if op == "tenants":
         return ({"id": req_id, "ok": True, "op": op,
                  "tenants": tenants.describe()}, None)
@@ -284,15 +286,198 @@ def _result_payload(
     return payload
 
 
-def _error_payload(
+def error_payload(
     req_id: Optional[str], exc: BaseException
 ) -> Dict[str, Any]:
+    """The ``ok: false`` reply every surface answers a failure with."""
     return {
         "id": req_id,
         "ok": False,
         "error": type(exc).__name__,
         "message": str(exc),
     }
+
+
+class _Replies:
+    """One connection's reply side; its state is O(1) however long the
+    connection lives.
+
+    One condition serialises reply writes (replies stay whole) and
+    guards the failure count and the number of accepted requests not
+    yet answered.  A request counts as answered only after its reply
+    is written, so waiting for zero never closes a stream under its
+    last reply (waiting on the futures would: ``result()`` waiters
+    wake *before* done-callbacks run).
+    """
+
+    def __init__(self, write: Callable[[Dict[str, Any]], None]) -> None:
+        self._write = write
+        self._cond = threading.Condition()
+        self._outstanding = 0
+        self.failures = 0
+
+    def _emit(self, payload: Dict[str, Any]) -> None:
+        if not payload["ok"]:
+            self.failures += 1
+        try:
+            self._write(payload)
+        except OSError:
+            pass  # client went away; the work itself still completed
+
+    def send(self, payload: Dict[str, Any]) -> None:
+        with self._cond:
+            self._emit(payload)
+
+    def send_when_done(
+        self,
+        future: SolveFuture,
+        fmt: Callable[[Any], Dict[str, Any]],
+        req_id: Optional[str],
+        lease: Optional[Any],
+    ) -> None:
+        """Answer ``fmt(future.result())`` once the work completes."""
+        with self._cond:
+            self._outstanding += 1
+
+        def on_done(f: SolveFuture) -> None:
+            try:
+                payload = fmt(f.result())
+            except Exception as exc:  # noqa: BLE001 — answered in-band
+                payload = error_payload(req_id, exc)
+            if lease is not None:
+                lease.release()
+            with self._cond:
+                try:
+                    self._emit(payload)
+                finally:
+                    self._outstanding -= 1
+                    self._cond.notify_all()
+
+        future.add_done_callback(on_done)
+
+    def wait_idle(self) -> None:
+        """Block until every accepted request has been answered."""
+        with self._cond:
+            self._cond.wait_for(lambda: not self._outstanding)
+
+
+def serve_requests(
+    requests: Iterable[Decoded],
+    write: Callable[[Dict[str, Any]], None],
+    service: CurveService,
+    *,
+    framed: bool,
+    default_config: Optional[SolveConfig] = None,
+    tenants: Optional["TenantService"] = None,
+    upgrade: Optional[Callable[[], None]] = None,
+) -> int:
+    """The one request loop behind both wire codecs.
+
+    ``requests`` yields what a codec decoded (:data:`Decoded`);
+    ``write`` encodes one reply dict onto the transport.  The loop owns
+    everything else: hello and upgrade, tenant gating, the barrier
+    before synchronous tenant verbs, submission, completion-order
+    replies, failure counting, and the ``id`` rule
+    (:func:`~repro.service.schema.reply_id`).  A
+    :class:`ProtocolError` *raised* by the codec means the stream lost
+    its framing: it is answered once and ends the loop.  Returns once
+    every accepted request has been answered (or after an upgrade
+    hand-over), with the number of failed replies.
+    """
+    replies = _Replies(write)
+
+    def refuse(exc: ReproError) -> None:
+        if isinstance(exc, ProtocolError):
+            service.record_protocol_error()
+        replies.send(error_payload(None, exc))
+
+    def accept(
+        obj: Dict[str, Any], arr: Optional[np.ndarray], req_id: Optional[str]
+    ) -> Tuple[Optional[Dict[str, Any]], Optional[Queued]]:
+        if obj.get("op") == schema.HELLO_OP:
+            schema.validate_fields(obj, schema.HELLO_FIELDS, "hello")
+            payload = schema.hello_payload(
+                req_id,
+                tenants_enabled=tenants is not None,
+                binary_ok=framed or upgrade is not None,
+            )
+            if not framed and obj.get("upgrade") and upgrade is not None:
+                # The framing changes on this transport: no reply to an
+                # earlier request may follow the hello.
+                replies.wait_idle()
+                payload["upgraded"] = schema.PROTOCOL_V2
+            elif framed:
+                payload["upgraded"] = schema.PROTOCOL_V2
+            return payload, None
+        if arr is not None:
+            if "trace" in obj:
+                raise ReproError(
+                    "request carries both an inline trace and a payload; "
+                    "send one"
+                )
+            obj = dict(obj, trace=arr)
+        if "op" in obj:
+            if tenants is None:
+                raise ReproError(
+                    "tenant ops are not enabled on this server "
+                    "(start it with --tenants)"
+                )
+            if obj["op"] in _SYNC_OPS:
+                # An evict must not race the same script's queued
+                # pushes (see the module docstring).
+                replies.wait_idle()
+            return handle_tenant_request(obj, tenants)
+        trace, cfg, deadline, _, sizes = parse_request_obj(
+            obj, default_config=default_config
+        )
+        if arr is not None and "dtype" not in obj:
+            # Solve in the payload's own dtype so an arena view is used
+            # as-is (no widening copy).
+            cfg = cfg.replace(dtype=arr.dtype.type)
+        if isinstance(trace, str):
+            trace = read_trace(trace)
+        future = service.submit(
+            trace, cfg, deadline=deadline, label=req_id or ""
+        )
+        return None, (
+            future, lambda result: _result_payload(req_id, result, sizes)
+        )
+
+    try:
+        for obj, arr, lease in requests:
+            if isinstance(obj, ReproError):
+                refuse(obj)
+                continue
+            req_id = schema.reply_id(obj)
+            try:
+                payload, queued = accept(obj, arr, req_id)
+            except Exception as exc:  # noqa: BLE001 — answered in-band
+                payload, queued = error_payload(req_id, exc), None
+            if queued is None:
+                if lease is not None:
+                    lease.release()
+                replies.send(payload)
+                if upgrade is not None and "upgraded" in payload:
+                    upgrade()
+                    return replies.failures
+            else:
+                replies.send_when_done(*queued, req_id, lease)
+    except ProtocolError as exc:
+        refuse(exc)
+    finally:
+        replies.wait_idle()
+    return replies.failures
+
+
+def _line_requests(lines: Iterable[Any]) -> Iterator[Decoded]:
+    for line in lines:
+        try:
+            obj = decode_line(line)
+        except ReproError as exc:
+            yield exc, None, None
+            continue
+        if obj is not None:
+            yield obj, None, None
 
 
 def serve_stream(
@@ -326,149 +511,15 @@ def serve_stream(
     tests over plain line iterables) hellos still answer but advertise
     the v1 protocol only.
     """
-    out_lock = threading.Lock()
-    failures = [0]
-
-    def send(payload: Dict[str, Any]) -> None:
-        with out_lock:
-            if not payload["ok"]:
-                failures[0] += 1
-            emit(json.dumps(payload))
-
-    # One event per accepted request, set only after its response line
-    # has been emitted.  (Waiting on the futures themselves would race:
-    # result() waiters wake *before* done-callbacks run, so the stream
-    # could close under the last response.)
-    answered: List[threading.Event] = []
-    for line in lines:
-        if isinstance(line, (bytes, bytearray)):
-            try:
-                line = bytes(line).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                service.record_protocol_error()
-                send(_error_payload(None, ProtocolError(
-                    f"request line is not valid UTF-8: {exc}"
-                )))
-                continue
-        if not line.strip():
-            continue
-        tenant_obj = tenant_op_object(line)
-        if tenant_obj is not None and tenant_obj.get("op") == schema.HELLO_OP:
-            h_id = tenant_obj.get("id")
-            if not isinstance(h_id, str):
-                h_id = None
-            try:
-                schema.validate_fields(
-                    tenant_obj, schema.HELLO_FIELDS, "hello"
-                )
-            except Exception as exc:  # noqa: BLE001 — on the stream
-                send(_error_payload(h_id, exc))
-                continue
-            payload = schema.hello_payload(
-                h_id,
-                tenants_enabled=tenants is not None,
-                binary_ok=upgrade is not None,
-            )
-            if tenant_obj.get("upgrade") and upgrade is not None:
-                # The upgrade is a framing change on the *transport*:
-                # barrier on everything accepted so far so no late JSON
-                # response interleaves with the first binary frame.
-                for event in answered:
-                    event.wait()
-                payload["upgraded"] = schema.PROTOCOL_V2
-                send(payload)
-                upgrade()
-                return failures[0]
-            send(payload)
-            continue
-        if tenant_obj is not None:
-            t_id = tenant_obj.get("id")
-            if not isinstance(t_id, str):
-                t_id = None
-            if tenants is None:
-                send(_error_payload(t_id, ReproError(
-                    "tenant ops are not enabled on this server "
-                    "(start it with --tenants)"
-                )))
-                continue
-            if tenant_obj.get("op") in ("register", "evict", "tenants"):
-                # Synchronous verbs barrier on this stream's accepted
-                # requests: an evict must not race the same script's
-                # queued pushes (see the module docstring).
-                for event in answered:
-                    event.wait()
-            try:
-                payload, queued = handle_tenant_request(tenant_obj, tenants)
-            except Exception as exc:  # noqa: BLE001 — on the stream
-                send(_error_payload(t_id, exc))
-                continue
-            if payload is not None:
-                send(payload)
-                continue
-            assert queued is not None
-            t_future, t_fmt = queued
-            t_event = threading.Event()
-
-            def on_tenant_done(f: SolveFuture, fmt=t_fmt, req_id=t_id,
-                               event=t_event) -> None:
-                try:
-                    try:
-                        payload = fmt(f.result())
-                    except Exception as exc:  # noqa: BLE001
-                        payload = _error_payload(req_id, exc)
-                    try:
-                        send(payload)
-                    except OSError:
-                        pass  # client went away; the push still landed
-                finally:
-                    event.set()
-
-            t_future.add_done_callback(on_tenant_done)
-            answered.append(t_event)
-            continue
-        try:
-            trace, cfg, deadline, req_id, sizes = parse_request(
-                line, default_config=default_config
-            )
-            arr = read_trace(trace) if isinstance(trace, str) else trace
-            future = service.submit(
-                arr, cfg, deadline=deadline, label=req_id or ""
-            )
-        except Exception as exc:  # noqa: BLE001 — reported on the stream
-            send(_error_payload(_best_effort_id(line), exc))
-            continue
-        event = threading.Event()
-
-        def on_done(f: SolveFuture, req_id=req_id, sizes=sizes,
-                    event=event) -> None:
-            try:
-                try:
-                    payload = _result_payload(req_id, f.result(), sizes)
-                except Exception as exc:  # noqa: BLE001
-                    payload = _error_payload(req_id, exc)
-                try:
-                    send(payload)
-                except OSError:
-                    pass  # client went away; the solve still completed
-            finally:
-                event.set()
-
-        future.add_done_callback(on_done)
-        answered.append(event)
-    for event in answered:
-        event.wait()
-    return failures[0]
-
-
-def _best_effort_id(line: str) -> Optional[str]:
-    """Recover the request id from a line that failed to parse/submit."""
-    try:
-        obj = json.loads(line)
-        if isinstance(obj, dict):
-            return obj.get("id")
-    except json.JSONDecodeError:
-        pass
-    return None
+    return serve_requests(
+        _line_requests(lines),
+        lambda payload: emit(json.dumps(payload)),
+        service,
+        framed=False,
+        default_config=default_config,
+        tenants=tenants,
+        upgrade=upgrade,
+    )
 
 
 class _LineHandler(socketserver.StreamRequestHandler):

@@ -230,6 +230,30 @@ class TestLifecycle:
         finally:
             svc.close()
 
+    def test_pause_returns_within_a_few_ticks(self):
+        """Regression: the dispatcher used to re-take an unfair lock right
+        after each idle tick, so pause() could lose the hand-over for
+        seconds (p50 5.1 s, max 44 s).  Now it waits out at most the one
+        in-flight dequeue."""
+        tick = 0.02
+        bound = 10 * tick
+        with CurveService(workers=1, tick_seconds=tick) as svc:
+            waits = []
+            for _ in range(60):
+                time.sleep(2 * tick)  # let the dispatcher re-enter its wait
+                t0 = time.monotonic()
+                svc.pause()
+                waits.append(time.monotonic() - t0)
+                svc.resume()
+            assert max(waits) <= bound, sorted(waits)[-5:]
+            # Still a real freeze: nothing leaves the queue while paused.
+            svc.pause()
+            future = svc.submit([1, 2, 1])
+            time.sleep(3 * tick)
+            assert not future.done()
+            svc.resume()
+            assert future.result(timeout=30).curve.hits(2) == 1
+
     def test_constructor_validation(self):
         for bad in (
             dict(max_queue=0), dict(max_batch=0), dict(workers=0),
